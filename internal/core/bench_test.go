@@ -3,7 +3,11 @@ package core
 import (
 	"testing"
 
+	"tapioca/internal/mpi"
+	"tapioca/internal/netsim"
 	"tapioca/internal/storage"
+	"tapioca/internal/topology"
+	"tapioca/internal/tree"
 	"tapioca/internal/workload"
 )
 
@@ -46,6 +50,58 @@ func BenchmarkPlanBuild(b *testing.B) {
 				p := buildPlan(all, 192, 16<<20, 16<<20, false)
 				if len(p.parts) == 0 {
 					b.Fatal("empty plan")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStagedTreeWrite measures one payload-carrying write session
+// through the two leader-heavy pipelines — intra-node staging and a fan-in-4
+// aggregation tree — on 32 nodes × 8 ranks writing two interleaved 16 KiB
+// blocks each (8 MiB) with 2 aggregators and 1 MiB buffers. B/op is where
+// window memory shows: staging leaders and tree vertices back only their
+// node's or subtree's span, aggregators their two buffers.
+func BenchmarkStagedTreeWrite(b *testing.B) {
+	const nodes, rpn, block = 32, 8, 16 << 10
+	const ranks = nodes * rpn
+	decl := make([][][]storage.Seg, ranks)
+	data := make([][][]byte, ranks)
+	for r := range decl {
+		decl[r] = [][]storage.Seg{{storage.Strided(int64(r)*block, block, ranks*block, 2)}}
+		data[r] = workload.FillData(decl[r], 1)
+	}
+	topo := topology.NewFlat(nodes)
+	fanin := tree.Shape{Kind: tree.FanIn, K: 4}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"staged", Config{Aggregators: 2, BufferSize: 1 << 20, IntraNodeStaging: true}},
+		{"fanin4", Config{Aggregators: 2, BufferSize: 1 << 20, Tree: &fanin}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(ranks * 2 * block)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys := storage.NewNullFS()
+				fab := netsim.New(topo, netsim.Config{})
+				_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: rpn, Fabric: fab}, func(c *mpi.Comm) {
+					var f *storage.File
+					if c.Rank() == 0 {
+						f = sys.Create("bench", storage.FileOptions{})
+					}
+					f = c.Bcast(0, 8, f).(*storage.File)
+					w := New(c, sys, f, tc.cfg)
+					if err := w.InitData(decl[c.Rank()], data[c.Rank()]); err != nil {
+						panic(err)
+					}
+					if err := w.WriteAll(); err != nil {
+						panic(err)
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -290,7 +290,8 @@ func (w *Writer) File() *storage.File { return w.f }
 // Init declares the upcoming operations: declared[i] is this rank's file
 // access pattern for the i-th TAPIOCA_Write/Read call. Collective. It
 // builds the global round schedule, splits partition communicators, elects
-// aggregators, and allocates the RMA windows. Sessions initialized with
+// aggregators, and allocates the RMA windows. Overlapping declarations
+// return an *ErrOverlap on every rank. Sessions initialized with
 // Init run in phantom mode: only virtual byte counts move (the paper-scale
 // default); use InitData to carry real payload bytes.
 func (w *Writer) Init(declared [][]storage.Seg) error {
@@ -342,6 +343,12 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 		}
 		return buildPlan(all, w.cfg.Aggregators, w.cfg.BufferSize, unit, withData)
 	}).(*plan)
+	if err := w.plan.err; err != nil {
+		// Every rank holds the same plan, so every rank returns here,
+		// before the collective Split and WinCreate: nobody is left waiting.
+		w.plan = nil
+		return err
+	}
 	// A data-plane-mode mismatch (some ranks passed payload buffers, others
 	// did not) is diagnosed here but reported only after the remaining
 	// collective setup: Split and WinCreate involve every rank, so bailing
@@ -370,8 +377,9 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	w.stats.Rounds = w.plan.parts[w.part].rounds
 	w.stats.AggregatorWorldRank = w.pc.WorldRankOf(w.aggLocal)
 
-	// Two pipelined buffers, exposed as one window of 2×BufferSize.
-	w.win = w.pc.WinCreate(2 * w.cfg.BufferSize)
+	// Two pipelined buffers, exposed as the window's two slots: each half of
+	// the double buffer is backed only over the bytes this rank touches.
+	w.win = w.pc.WinCreate(2, w.cfg.BufferSize)
 	if w.cfg.IntraNodeStaging {
 		w.stage = w.setupStaging()
 	}

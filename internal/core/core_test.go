@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -686,23 +687,45 @@ func TestEmptyRanksParticipate(t *testing.T) {
 	})
 }
 
-func TestOverlappingDeclarationsPanic(t *testing.T) {
-	nodes := 2
-	topo := topology.NewFlat(nodes)
+// TestOverlappingDeclarationsError pins that overlapping declarations come
+// back as a typed error from Init on every rank — before the collective
+// Split/WinCreate, so no rank is left waiting — instead of a panic inside
+// the planning collective that aborts the whole run.
+func TestOverlappingDeclarationsError(t *testing.T) {
+	const ranks = 16
+	topo := topology.NewFlat(ranks / 4)
 	fab := netsim.New(topo, netsim.Config{})
 	sys := storage.NewNullFS()
-	_, err := mpi.Run(mpi.Config{Ranks: 2, RanksPerNode: 1, Fabric: fab}, func(c *mpi.Comm) {
+	errs := make([]error, ranks)
+	writeErrs := make([]error, ranks)
+	_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: 4, Fabric: fab}, func(c *mpi.Comm) {
 		var f *storage.File
 		if c.Rank() == 0 {
 			f = sys.Create("f", storage.FileOptions{})
 		}
 		f = c.Bcast(0, 8, f).(*storage.File)
-		w := New(c, sys, f, Config{Aggregators: 1})
-		// Both ranks declare the same extent: overdeclared region.
-		w.Init([][]storage.Seg{{storage.Contig(0, 1000)}})
-		w.WriteAll()
+		w := New(c, sys, f, Config{Aggregators: 2})
+		// Every rank declares the same megabyte.
+		errs[c.Rank()] = w.Init([][]storage.Seg{{storage.Contig(0, 1<<20)}})
+		writeErrs[c.Rank()] = w.WriteAll()
+		c.Barrier()
 	})
-	if err == nil || !strings.Contains(err.Error(), "overdeclared") {
-		t.Fatalf("err = %v", err)
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	for r, e := range errs {
+		var ov *ErrOverlap
+		if !errors.As(e, &ov) {
+			t.Fatalf("rank %d: Init err = %v, want *ErrOverlap", r, e)
+		}
+		if ov.Partition != 0 || ov.Lo != 0 || ov.Hi != 1<<20 || ov.Declared != 8<<20 {
+			t.Errorf("rank %d: overlap = %+v, want partition 0 [0,%d) with %d declared", r, *ov, 1<<20, 8<<20)
+		}
+		if !strings.Contains(e.Error(), "overdeclared") {
+			t.Errorf("rank %d: message %q does not name the overdeclaration", r, e)
+		}
+		if writeErrs[r] == nil {
+			t.Errorf("rank %d: WriteAll after a failed Init returned nil", r)
+		}
 	}
 }

@@ -49,6 +49,9 @@ type PartEstimate struct {
 func EstimatePlan(all [][]storage.Seg, cfg Config, alignUnit int64) *PlanEstimate {
 	cfg.ApplyDefaults(len(all))
 	p := buildPlan(all, cfg.Aggregators, cfg.BufferSize, alignUnit, false)
+	if p.err != nil {
+		panic(p.err)
+	}
 	est := &PlanEstimate{Aggregators: len(p.parts)}
 	for part := range p.parts {
 		pp := &p.parts[part]

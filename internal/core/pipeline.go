@@ -248,7 +248,7 @@ func (w *Writer) runWrite() error {
 				var fill func(dst []byte)
 				if w.pl != nil {
 					base := bufID * w.cfg.BufferSize
-					staged := w.win.LocalData()[base+sr.lo : base+sr.hi]
+					staged := w.win.Local(base+sr.lo, sr.hi-sr.lo)
 					lo, hi := storage.SpanAll(pp.flush[r].segs)
 					own := myPieces[ownStart:idx]
 					groupLo := sr.lo
@@ -363,7 +363,7 @@ func (w *Writer) runWrite() error {
 					// The fence published every member's payload; hand the
 					// filled buffer to the background store job. Everything
 					// the job touches is resolved here, in proc context.
-					buf := w.win.LocalData()[bufID*w.cfg.BufferSize:][:fl.bytes]
+					buf := w.win.Local(bufID*w.cfg.BufferSize, fl.bytes)
 					layout := w.plan.layoutOf(w.part, r)
 					w.f.EnsureStore()
 					if w.cfg.SingleBuffer {
@@ -511,7 +511,7 @@ func (w *Writer) runRead() error {
 			if w.pl != nil {
 				// Fill the inactive buffer from the backing store; the next
 				// fence publishes it to the members' gets.
-				buf := w.win.LocalData()[int64(r%2)*w.cfg.BufferSize:][:pp.flush[r].bytes]
+				buf := w.win.Local(int64(r%2)*w.cfg.BufferSize, pp.flush[r].bytes)
 				layout := w.plan.layoutOf(w.part, r)
 				if w.cfg.SingleBuffer {
 					t := hostClock(rec)

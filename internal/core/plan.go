@@ -21,6 +21,24 @@ type plan struct {
 	// (tens of thousands of ranks) and the per-rank views allocation-free.
 	pieces   []putPiece
 	pieceOff []int32
+
+	// err is set when the declarations cannot be planned (overlapping
+	// extents); the rest of the plan is then incomplete and unused.
+	err error
+}
+
+// ErrOverlap reports declarations that overlap: a partition region whose
+// declared bytes exceed its span, so two declared writes name the same file
+// bytes. Init and InitData return it on every rank of the session.
+type ErrOverlap struct {
+	Partition int
+	Lo, Hi    int64 // the merged region's file extent
+	Declared  int64 // bytes declared within it
+}
+
+func (e *ErrOverlap) Error() string {
+	return fmt.Sprintf("core: partition %d region [%d,%d) overdeclared: %d bytes in %d span (overlapping writes?)",
+		e.Partition, e.Lo, e.Hi, e.Declared, e.Hi-e.Lo)
 }
 
 // piecesOf returns rank r's puts (rounds ascending), a view into the arena.
@@ -52,6 +70,7 @@ type partPlan struct {
 	layout [][]storage.Seg
 
 	members []cost.Member // election table, cached by the first caller
+	trees   []*treeSched  // tree schedules by (shape, root), cached likewise
 }
 
 type flushInfo struct {
@@ -176,7 +195,8 @@ func (b *planBuilder) extract(rg *region, x0, x1 int64) []storage.Seg {
 // aligned, the behaviour behind the paper's Table I 1:1 optimum.
 // When withData is set, each round's buffer-ordered file-run layout is
 // materialized alongside (the data plane's flush/prefetch map); phantom
-// plans skip that work entirely.
+// plans skip that work entirely. Overlapping declarations stop the build
+// and are reported on the plan's err.
 func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withData bool) *plan {
 	nRanks := len(all)
 	if nAggr > nRanks {
@@ -195,7 +215,9 @@ func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withDat
 	for part := range p.parts {
 		lo := partStart(part, nAggr, nRanks)
 		hi := partStart(part+1, nAggr, nRanks)
-		buildPartition(p, b, part, lo, hi, all, bufSize, alignUnit)
+		if p.err = buildPartition(p, b, part, lo, hi, all, bufSize, alignUnit); p.err != nil {
+			return p
+		}
 		distributePieces(p, b, lo, hi)
 	}
 	return p
@@ -214,7 +236,7 @@ func partStart(part, nAggr, nRanks int) int {
 	return cost.PartitionStart(part, nAggr, nRanks)
 }
 
-func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]storage.Seg, bufSize, alignUnit int64) {
+func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]storage.Seg, bufSize, alignUnit int64) error {
 	pp := &p.parts[part]
 	pp.rankLo = rankLo
 	pp.rankN = rankHi - rankLo
@@ -235,7 +257,7 @@ func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]s
 	}
 	b.msegs = msegs
 	if pp.bytes == 0 {
-		return
+		return nil
 	}
 	sort.Slice(msegs, func(a, c int) bool {
 		if msegs[a].seg.Off != msegs[c].seg.Off {
@@ -264,8 +286,7 @@ func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]s
 	for ri := range regions {
 		rg := &regions[ri]
 		if rg.bytes > rg.hi-rg.lo {
-			panic(fmt.Sprintf("core: partition %d region [%d,%d) overdeclared: %d bytes in %d span (overlapping writes?)",
-				part, rg.lo, rg.hi, rg.bytes, rg.hi-rg.lo))
+			return &ErrOverlap{Partition: part, Lo: rg.lo, Hi: rg.hi, Declared: rg.bytes}
 		}
 	}
 
@@ -350,19 +371,20 @@ func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]s
 			fill[l] = 0
 		}
 		if off != pp.flush[round].bytes {
-			panic(fmt.Sprintf("core: partition %d round %d fill %d != flush %d", part, round, off, pp.flush[round].bytes))
+			panic(fmt.Sprintf("core: invariant violated: partition %d round %d fill %d != flush %d", part, round, off, pp.flush[round].bytes))
 		}
 		if off > bufSize {
-			panic(fmt.Sprintf("core: partition %d round %d overfills buffer: %d > %d", part, round, off, bufSize))
+			panic(fmt.Sprintf("core: invariant violated: partition %d round %d overfills buffer: %d > %d", part, round, off, bufSize))
 		}
 		if p.withData {
 			pp.layout[round] = buildLayout(b, msegs, touched, i0, iHi, x0, x1)
 			if n := storage.TotalBytes(pp.layout[round]); n != off {
-				panic(fmt.Sprintf("core: partition %d round %d layout %d bytes != fill %d", part, round, n, off))
+				panic(fmt.Sprintf("core: invariant violated: partition %d round %d layout %d bytes != fill %d", part, round, n, off))
 			}
 		}
 	}
 	b.touched = touched
+	return nil
 }
 
 // buildLayout materializes one round's buffer layout: for each touched

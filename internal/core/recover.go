@@ -315,7 +315,7 @@ func (w *Writer) replayRound(p *sim.Proc, q int, dataErr *error) {
 		p.Hold(int64(float64(fl.bytes) * cNsPerByte))
 	}
 	if w.pl != nil {
-		buf := w.win.LocalData()[bufID*w.cfg.BufferSize:][:fl.bytes]
+		buf := w.win.Local(bufID*w.cfg.BufferSize, fl.bytes)
 		layout := w.plan.layoutOf(w.part, q)
 		w.f.EnsureStore()
 		// Synchronous: replay is already off the steady-state schedule, and

@@ -64,10 +64,11 @@ type treeRole struct {
 	// fences is the partition's interior fence budget per round: tree depth
 	// minus one, frozen at setup (failover must not change it).
 	fences int
-	// engaged[r] reports whether round r runs the tree (see package doc).
+	// engaged[r] reports whether round r runs the tree (see package doc);
+	// shared read-only with the partition's other members.
 	engaged []bool
 	// spans[r] is this vertex's subtree bufOff span [lo,hi) for round r
-	// (zero-width when the subtree contributes nothing).
+	// (zero-width when the subtree contributes nothing); nil for members.
 	spans [][2]int64
 	// collapsed is set by failover: the tree degrades to node-staged under
 	// the new root and interior phases turn into empty fences.
@@ -101,13 +102,46 @@ func (w *Writer) partLeaders(pp *partPlan) (leaders []tree.Leader, starts []int)
 	return leaders, starts
 }
 
-// setupTree builds this rank's tree role from the globally shared plan — no
-// communication, every member derives the identical structure. Returns nil
-// when the synthesized tree is structurally degenerate (fewer than two
-// levels) or the node mapping defeats it; the partition then runs the staged
-// or flat path verbatim.
-func (w *Writer) setupTree(shape tree.Shape) *treeRole {
+// treeSched is a partition's tree schedule for one (shape, root): the
+// synthesized tree, the node groups' first local ranks, and per round the
+// engagement decision and every vertex's subtree span. It depends only on the
+// shared plan, the partition's node mapping and the fabric, so the first
+// member to need it builds it on partPlan and the others reuse it, the way
+// the election table is cached.
+type treeSched struct {
+	shape tree.Shape
+	root  int // aggregator's partition-local rank
+	// t is nil when the tree is structurally degenerate (fewer than two
+	// levels) or the node mapping defeats it: the partition runs the staged
+	// or flat path verbatim.
+	t       *tree.Tree
+	starts  []int // each vertex's first local rank, plus a rankN sentinel
+	engaged []bool
+	spans   [][][2]int64 // spans[v][r]: vertex v's subtree bufOff span
+}
+
+// treeSchedFor returns the partition's cached schedule for (shape, root),
+// building it on first use. The tree is rooted at the aggregator's group, so
+// a schedule is only valid for the root it was built for. (Engine procs are
+// serial, so the lazy fill needs no synchronization; members treat the
+// schedule as read-only.)
+func (w *Writer) treeSchedFor(shape tree.Shape, root int) *treeSched {
 	pp := &w.plan.parts[w.part]
+	for _, ts := range pp.trees {
+		if ts.shape == shape && ts.root == root {
+			return ts
+		}
+	}
+	ts := w.buildTreeSched(pp, shape, root)
+	pp.trees = append(pp.trees, ts)
+	return ts
+}
+
+// buildTreeSched synthesizes the partition's tree rooted at the group of
+// local rank root and scans the shared piece arena once for the per-round
+// spans and engagement decisions.
+func (w *Writer) buildTreeSched(pp *partPlan, shape tree.Shape, root int) *treeSched {
+	ts := &treeSched{shape: shape, root: root}
 	leaders, starts := w.partLeaders(pp)
 	// A node appearing in two non-adjacent runs would let a member bypass
 	// its vertex leader (its staging plan keys on node identity, the tree on
@@ -115,7 +149,7 @@ func (w *Writer) setupTree(shape tree.Shape) *treeRole {
 	seen := make(map[int]bool, len(leaders))
 	for _, l := range leaders {
 		if seen[l.Node] {
-			return nil
+			return ts
 		}
 		seen[l.Node] = true
 	}
@@ -123,41 +157,11 @@ func (w *Writer) setupTree(shape tree.Shape) *treeRole {
 	if fab := w.c.World().Fabric(); fab != nil {
 		grouper = tree.GrouperOf(fab.Topology())
 	}
-	t := tree.Build(shape, leaders, tree.RootLeader(starts, w.aggLocal), grouper)
+	t := tree.Build(shape, leaders, tree.RootLeader(starts, root), grouper)
 	if t.Levels < 2 {
-		return nil // structurally degenerate here: nothing to synthesize
+		return ts // structurally degenerate here: nothing to synthesize
 	}
-
-	tr := &treeRole{
-		t:      t,
-		vertex: -1,
-		fences: t.Levels - 1,
-		msgs:   make([]int64, t.Levels+1),
-	}
-	myLocal := w.pc.Rank()
-	for v := 0; v+1 < len(starts); v++ {
-		if starts[v] == myLocal {
-			tr.vertex = v
-		}
-	}
-	if tr.vertex >= 0 {
-		tr.depth = t.Depth[tr.vertex]
-		hasChild := false
-		for _, p := range t.Parent {
-			if p == tr.vertex {
-				hasChild = true
-				break
-			}
-		}
-		tr.diverted = tr.depth >= 1 && (hasChild || tr.depth >= 2)
-		if p := t.Parent[tr.vertex]; p >= 0 {
-			if p == t.Root {
-				tr.parentLocal = w.aggLocal
-			} else {
-				tr.parentLocal = starts[p]
-			}
-		}
-	}
+	ts.t, ts.starts = t, starts
 
 	// Per-round spans and engagement: one cursor per member over the shared
 	// piece arena. Each piece folds into its own group's span (the staging
@@ -176,8 +180,12 @@ func (w *Writer) setupTree(shape tree.Shape) *treeRole {
 			memberVertex[i] = v
 		}
 	}
-	tr.engaged = make([]bool, pp.rounds)
-	tr.spans = make([][2]int64, pp.rounds)
+	ts.engaged = make([]bool, pp.rounds)
+	ts.spans = make([][][2]int64, nv)
+	arena := make([][2]int64, nv*pp.rounds)
+	for v := range ts.spans {
+		ts.spans[v] = arena[v*pp.rounds : (v+1)*pp.rounds]
+	}
 	for r := 0; r < pp.rounds; r++ {
 		for v := 0; v < nv; v++ {
 			vs[v] = span{lo: -1}
@@ -221,9 +229,58 @@ func (w *Writer) setupTree(shape tree.Shape) *treeRole {
 				engaged = false
 			}
 		}
-		tr.engaged[r] = engaged
-		if tr.vertex >= 0 && vs[tr.vertex].total > 0 {
-			tr.spans[r] = [2]int64{vs[tr.vertex].lo, vs[tr.vertex].hi}
+		ts.engaged[r] = engaged
+		for v := 0; v < nv; v++ {
+			if vs[v].total > 0 {
+				ts.spans[v][r] = [2]int64{vs[v].lo, vs[v].hi}
+			}
+		}
+	}
+	return ts
+}
+
+// setupTree derives this rank's tree role from the partition's cached
+// schedule — no communication, every member sees the identical structure.
+// Returns nil when the synthesized tree is structurally degenerate (fewer
+// than two levels) or the node mapping defeats it; the partition then runs
+// the staged or flat path verbatim.
+func (w *Writer) setupTree(shape tree.Shape) *treeRole {
+	ts := w.treeSchedFor(shape, w.aggLocal)
+	t := ts.t
+	if t == nil {
+		return nil
+	}
+	tr := &treeRole{
+		t:       t,
+		vertex:  -1,
+		fences:  t.Levels - 1,
+		engaged: ts.engaged,
+		msgs:    make([]int64, t.Levels+1),
+	}
+	myLocal := w.pc.Rank()
+	for v := 0; v+1 < len(ts.starts); v++ {
+		if ts.starts[v] == myLocal {
+			tr.vertex = v
+		}
+	}
+	if tr.vertex < 0 {
+		return tr
+	}
+	tr.depth = t.Depth[tr.vertex]
+	tr.spans = ts.spans[tr.vertex]
+	hasChild := false
+	for _, p := range t.Parent {
+		if p == tr.vertex {
+			hasChild = true
+			break
+		}
+	}
+	tr.diverted = tr.depth >= 1 && (hasChild || tr.depth >= 2)
+	if p := t.Parent[tr.vertex]; p >= 0 {
+		if p == t.Root {
+			tr.parentLocal = w.aggLocal
+		} else {
+			tr.parentLocal = ts.starts[p]
 		}
 	}
 	return tr
@@ -245,7 +302,7 @@ func (w *Writer) treeForward(r int, bufID int64, own []putPiece, dataErr *error)
 	if w.pl != nil {
 		pp := &w.plan.parts[w.part]
 		base := bufID * w.cfg.BufferSize
-		window := w.win.LocalData()[base+lo : base+hi]
+		window := w.win.Local(base+lo, hi-lo)
 		flo, fhi := storage.SpanAll(pp.flush[r].segs)
 		round := r
 		fill = func(dst []byte) {

@@ -424,7 +424,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 
 func TestWinPutFence(t *testing.T) {
 	_, err := Run(testConfig(4, 1), func(c *Comm) {
-		w := c.WinCreate(1 << 20)
+		w := c.WinCreate(1, 1<<20)
 		w.SetCapture(true)
 		if c.Rank() != 0 {
 			off := int64(c.Rank()-1) * 1000
@@ -455,7 +455,7 @@ func TestFenceWaitsForPutArrival(t *testing.T) {
 	// A fence must release no earlier than the arrival of the largest put.
 	const bytes = 50_000_000 // 50 MB over 1 GB/s links: 50 ms
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		w := c.WinCreate(bytes)
+		w := c.WinCreate(1, bytes)
 		if c.Rank() == 1 {
 			w.Put(0, 0, bytes, nil)
 		}
@@ -472,7 +472,7 @@ func TestFenceWaitsForPutArrival(t *testing.T) {
 func TestPutIsAsyncForSender(t *testing.T) {
 	const bytes = 100_000_000
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		w := c.WinCreate(bytes)
+		w := c.WinCreate(1, bytes)
 		if c.Rank() == 1 {
 			before := c.Now()
 			w.Put(0, 0, bytes, nil)
@@ -491,7 +491,7 @@ func TestPutIsAsyncForSender(t *testing.T) {
 
 func TestPutOutOfWindowPanics(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		w := c.WinCreate(100)
+		w := c.WinCreate(1, 100)
 		if c.Rank() == 1 {
 			w.Put(0, 50, 100, nil)
 		}
@@ -504,7 +504,7 @@ func TestPutOutOfWindowPanics(t *testing.T) {
 
 func TestGetThenFence(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		w := c.WinCreate(4096)
+		w := c.WinCreate(1, 4096)
 		if c.Rank() == 0 {
 			w.Get(1, 0, 4096)
 		}
@@ -521,7 +521,7 @@ func TestGetThenFence(t *testing.T) {
 func TestMultipleEpochs(t *testing.T) {
 	const rounds = 4
 	_, err := Run(testConfig(3, 1), func(c *Comm) {
-		w := c.WinCreate(1 << 16)
+		w := c.WinCreate(1, 1<<16)
 		for r := 0; r < rounds; r++ {
 			if c.Rank() != 0 {
 				w.Put(0, 0, 1<<10, nil)

@@ -16,10 +16,32 @@ type Win struct {
 	fenceFn func(contribs []any, maxT int64) (any, int64) // cached Fence finish
 }
 
+// winShared is the window state every rank's handle shares: the epoch
+// bookkeeping Fence closes, and each rank's real window memory.
+//
+// The exposed size is slots × slotSize, and memory is backed per (rank,
+// slot): a slot holds only the extent that rank has actually touched — the
+// bytes it received (PutAsync, PutGather, StagePut), was read from (GetInto,
+// GetScatter) or read and filled locally (Local). An aggregator's slot grows
+// to the whole slot over its first rounds; a staging leader or tree vertex
+// only ever backs its node's or subtree's span; phantom sessions — every
+// paper-scale figure — never allocate a byte. Untouched bytes read as zero,
+// exactly as if the whole window had been allocated up front.
+//
+// Growth follows three rules that keep callers' slices race-free:
+//   - an access never straddles a slot (a violation panics as an invariant);
+//   - a slot grows by doubling, clamped to the slot, so a fully used slot
+//     reaches its final size after O(log slotSize) copies, and its backing
+//     never exceeds twice the extent actually touched;
+//   - a slot's backing moves only on an access to that same (rank, slot),
+//     so a slice obtained from one slot stays valid — and may be handed to
+//     a background goroutine — while the other slots are being accessed.
 type winShared struct {
-	comm    *commShared
-	size    int64 // bytes exposed per rank
-	capture bool
+	comm     *commShared
+	slots    int
+	slotSize int64
+	size     int64 // bytes exposed per rank: slots × slotSize
+	capture  bool
 
 	epochArrival int64 // completion horizon of the current epoch's ops
 	epochOps     int
@@ -29,18 +51,77 @@ type winShared struct {
 	lastFill []int64     // fill of the epoch closed by the last Fence
 	writes   [][]WinSpan // per target, captured spans (when capture enabled)
 
-	// mem holds each rank's real window memory, allocated lazily on the
-	// first payload-carrying access (the data plane). Phantom sessions —
-	// every paper-scale figure — never allocate a byte here.
-	mem [][]byte
+	// mem[r*slots+k] backs rank r's slot k, allocated on the first
+	// payload-carrying access and grown over the touched extent.
+	mem []slotMem
 }
 
-// memOf returns (allocating on first use) rank r's real window memory.
-func (s *winShared) memOf(r int) []byte {
-	if s.mem[r] == nil {
-		s.mem[r] = make([]byte, s.size)
+// slotMem is one (rank, slot)'s backing: buf holds the slot's bytes
+// [lo, lo+len(buf)), which cover the touched extent [tlo, thi) — the union
+// of every range handed out so far. Everything outside the touched extent
+// reads as zero.
+type slotMem struct {
+	lo       int64
+	buf      []byte
+	tlo, thi int64
+}
+
+// check validates an access [off, off+n) by op: it must lie inside the
+// window (a caller error) and within one slot (an invariant of every caller:
+// slots are the units whose backing may move independently).
+func (s *winShared) check(op string, off, n int64) {
+	if off < 0 || n < 0 || off+n > s.size {
+		panic(fmt.Sprintf("mpi: %s [%d,%d) outside window of %d bytes", op, off, off+n, s.size))
 	}
-	return s.mem[r]
+	if n > 0 && off/s.slotSize != (off+n-1)/s.slotSize {
+		panic(fmt.Sprintf("mpi: invariant violated: %s [%d,%d) straddles window slots of %d bytes",
+			op, off, off+n, s.slotSize))
+	}
+}
+
+// span returns rank r's window memory [off, off+n), allocating or growing
+// the slot's backing to cover it. The range has passed check and n > 0.
+func (s *winShared) span(r int, off, n int64) []byte {
+	k := off / s.slotSize
+	lo := off - k*s.slotSize
+	hi := lo + n
+	m := &s.mem[r*s.slots+int(k)]
+	if m.buf == nil {
+		m.lo, m.buf, m.tlo, m.thi = lo, make([]byte, n), lo, hi
+	} else {
+		if lo < m.lo || hi > m.lo+int64(len(m.buf)) {
+			m.grow(lo, hi, s.slotSize)
+		}
+		m.tlo, m.thi = min(m.tlo, lo), max(m.thi, hi)
+	}
+	return m.buf[lo-m.lo : hi-m.lo]
+}
+
+// grow re-backs the slot over the touched extent grown by [lo, hi): at
+// least twice the old touched extent (clamped to the slot), extended away
+// from the side the access came from, so repeated growth in one direction
+// re-backs O(log slotSize) times while the backing never exceeds twice the
+// touched extent. The touched bytes are preserved.
+func (m *slotMem) grow(lo, hi, slotSize int64) {
+	tlo, thi := min(m.tlo, lo), max(m.thi, hi)
+	n := min(max(thi-tlo, 2*(m.thi-m.tlo)), slotSize)
+	nlo := tlo
+	if lo < m.tlo {
+		nlo = thi - n // downward access: keep the top, extend below
+	}
+	nlo = min(max(nlo, 0), slotSize-n)
+	buf := make([]byte, n)
+	copy(buf[m.tlo-nlo:], m.buf[m.tlo-m.lo:m.thi-m.lo])
+	m.lo, m.buf = nlo, buf
+}
+
+// allocated returns the bytes backing rank r's window memory.
+func (s *winShared) allocated(r int) int64 {
+	var n int64
+	for _, m := range s.mem[r*s.slots : (r+1)*s.slots] {
+		n += int64(len(m.buf))
+	}
+	return n
 }
 
 // WinSpan records one captured one-sided access for verification.
@@ -50,17 +131,24 @@ type WinSpan struct {
 	Payload       any
 }
 
-// WinCreate exposes size bytes on every rank of the communicator and returns
-// the local window handle. Collective.
-func (c *Comm) WinCreate(size int64) *Win {
+// WinCreate exposes slots buffers of slotSize bytes each — one window of
+// slots × slotSize bytes — on every rank of the communicator and returns the
+// local window handle. Collective. Every access falls within one slot; real
+// memory is backed per slot over the bytes actually touched (see winShared).
+func (c *Comm) WinCreate(slots int, slotSize int64) *Win {
+	if slots < 1 || slotSize < 1 {
+		panic(fmt.Sprintf("mpi: WinCreate(%d, %d): need at least one slot of at least one byte", slots, slotSize))
+	}
 	res := c.collective("mpi:win-create", nil, func(_ []any, maxT int64) (any, int64) {
 		s := &winShared{
 			comm:     c.s,
-			size:     size,
+			slots:    slots,
+			slotSize: slotSize,
+			size:     int64(slots) * slotSize,
 			fill:     make([]int64, c.Size()),
 			lastFill: make([]int64, c.Size()),
 			writes:   make([][]WinSpan, c.Size()),
-			mem:      make([][]byte, c.Size()),
+			mem:      make([]slotMem, c.Size()*slots),
 		}
 		return s, c.treeCost(maxT, 0)
 	})
@@ -91,12 +179,12 @@ func (w *Win) Put(target int, offset, bytes int64, payload any) {
 // per rank per round.
 func (w *Win) PutAsync(target int, offset, bytes int64, payload any) (senderFree int64) {
 	senderFree = w.bookPut(target, offset, bytes)
-	if b, ok := payload.([]byte); ok && len(b) > 0 {
-		// Data plane: the put carries real bytes into the target's window
-		// memory. The copy happens at issue time (the origin buffer is
-		// reusable immediately, MPI_Put semantics), and the fence's
-		// happens-before edge publishes it to the target.
-		copy(w.s.memOf(target)[offset:], b)
+	if b, ok := payload.([]byte); ok && len(b) > 0 && bytes > 0 {
+		// Data plane: the put carries real bytes (at most its byte count)
+		// into the target's window memory. The copy happens at issue time
+		// (the origin buffer is reusable immediately, MPI_Put semantics),
+		// and the fence's happens-before edge publishes it to the target.
+		copy(w.s.span(target, offset, min(int64(len(b)), bytes)), b)
 		if w.s.capture {
 			payload = append([]byte(nil), b...) // capture a stable snapshot
 		}
@@ -114,9 +202,7 @@ func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 	if target < 0 || target >= c.Size() {
 		panic(fmt.Sprintf("mpi: Put to invalid rank %d", target))
 	}
-	if offset < 0 || offset+bytes > w.s.size {
-		panic(fmt.Sprintf("mpi: Put [%d,%d) outside window of %d bytes", offset, offset+bytes, w.s.size))
-	}
+	w.s.check("Put", offset, bytes)
 	senderFree, arrival := c.s.w.fabric.Reserve(c.p.Now(), c.Node(), c.NodeOfRank(target), bytes)
 	c.p.TraceSpan("rma", "put", c.p.Now(), senderFree, bytes)
 	if arrival > w.s.epochArrival {
@@ -139,7 +225,7 @@ func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 func (w *Win) PutGather(target int, offset, bytes int64, fill func(dst []byte)) (senderFree int64) {
 	senderFree = w.bookPut(target, offset, bytes)
 	if bytes > 0 && fill != nil {
-		dst := w.s.memOf(target)[offset : offset+bytes]
+		dst := w.s.span(target, offset, bytes)
 		fill(dst)
 		if w.s.capture {
 			w.s.writes[target] = append(w.s.writes[target],
@@ -171,13 +257,11 @@ func (w *Win) StagePut(leader int, offset, bytes int64, fill func(dst []byte)) (
 		panic(fmt.Sprintf("mpi: StagePut to rank %d on node %d from node %d — leader must be co-located",
 			leader, c.NodeOfRank(leader), c.Node()))
 	}
-	if offset < 0 || offset+bytes > w.s.size {
-		panic(fmt.Sprintf("mpi: StagePut [%d,%d) outside window of %d bytes", offset, offset+bytes, w.s.size))
-	}
+	w.s.check("StagePut", offset, bytes)
 	senderFree, arrival = c.s.w.fabric.ReserveLocal(c.p.Now(), c.Node(), bytes)
 	c.p.TraceSpan("rma", "stage", c.p.Now(), senderFree, bytes)
 	if bytes > 0 && fill != nil {
-		dst := w.s.memOf(leader)[offset : offset+bytes]
+		dst := w.s.span(leader, offset, bytes)
 		fill(dst)
 		if w.s.capture {
 			w.s.writes[leader] = append(w.s.writes[leader],
@@ -199,9 +283,7 @@ func (w *Win) Get(target int, offset, bytes int64) {
 	if target < 0 || target >= c.Size() {
 		panic(fmt.Sprintf("mpi: Get from invalid rank %d", target))
 	}
-	if offset < 0 || offset+bytes > w.s.size {
-		panic(fmt.Sprintf("mpi: Get [%d,%d) outside window of %d bytes", offset, offset+bytes, w.s.size))
-	}
+	w.s.check("Get", offset, bytes)
 	_, arrival := c.s.w.fabric.Reserve(c.p.Now(), c.NodeOfRank(target), c.Node(), bytes)
 	c.p.TraceSpan("rma", "get", c.p.Now(), arrival, bytes)
 	if arrival > w.s.epochArrival {
@@ -220,7 +302,9 @@ func (w *Win) Get(target int, offset, bytes int64) {
 // copy at issue time observes the exposed bytes.
 func (w *Win) GetInto(target int, offset int64, dst []byte) {
 	w.Get(target, offset, int64(len(dst)))
-	copy(dst, w.s.memOf(target)[offset:])
+	if len(dst) > 0 {
+		copy(dst, w.s.span(target, offset, int64(len(dst))))
+	}
 }
 
 // GetScatter is GetInto with a zero-copy destination: instead of copying the
@@ -232,14 +316,31 @@ func (w *Win) GetInto(target int, offset int64, dst []byte) {
 func (w *Win) GetScatter(target int, offset, bytes int64, scatter func(src []byte)) {
 	w.Get(target, offset, bytes)
 	if bytes > 0 && scatter != nil {
-		scatter(w.s.memOf(target)[offset : offset+bytes])
+		scatter(w.s.span(target, offset, bytes))
 	}
 }
 
-// LocalData returns (allocating on first use) the caller's own exposed
-// window memory — what an aggregator's flush reads after a fence, and what
-// its read-path prefetch fills before one.
-func (w *Win) LocalData() []byte { return w.s.memOf(w.c.rank) }
+// Local returns the caller's own window memory [off, off+n) — what an
+// aggregator's flush reads after a fence, what its read-path prefetch fills
+// before one, and what a staging leader or tree vertex forwards. The range
+// must lie within one slot; the slot's backing is allocated or grown to
+// cover it, and bytes never written read as zero. The slice stays valid
+// until the next access, by any rank, to the same slot of the caller's
+// window (which may move the backing); accesses to other slots never
+// invalidate it, so it may be handed to a background goroutine for as long
+// as that slot is left alone.
+func (w *Win) Local(off, n int64) []byte {
+	w.s.check("Local", off, n)
+	if n == 0 {
+		return nil
+	}
+	return w.s.span(w.c.rank, off, n)
+}
+
+// Allocated returns the bytes of real memory backing rank r's window: per
+// slot at least the touched extent and at most twice it, zero for a rank
+// whose window never carried a payload.
+func (w *Win) Allocated(r int) int64 { return w.s.allocated(r) }
 
 // Fence closes the current epoch: a collective that releases every rank once
 // all one-sided operations of the epoch have completed (the paper's

@@ -119,6 +119,11 @@ var LZCodec = dataplane.LZ
 // Writer is a TAPIOCA collective I/O session handle.
 type Writer = core.Writer
 
+// ErrOverlap is the error Writer.Init and InitData return, on every rank,
+// when declarations overlap: it names the partition and the merged file
+// extent whose declared bytes exceed its span.
+type ErrOverlap = core.ErrOverlap
+
 // MPIIOFile is an MPI-IO (ROMIO-style baseline) file handle.
 type MPIIOFile = mpiio.File
 
